@@ -28,6 +28,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["LoadController"]
 
+# repro.telemetry.decisions.ControllerDecision, bound on first use:
+# repro.telemetry imports the controllers, so importing it here at module
+# load would be circular, and importing it on every verdict costs a
+# module lookup per decision.
+_ControllerDecision = None
+
+
+def _decision_record_type() -> type:
+    global _ControllerDecision
+    from repro.telemetry.decisions import ControllerDecision
+    _ControllerDecision = ControllerDecision
+    return ControllerDecision
+
 
 class LoadController:
     """Base class: admits everything, reacts to nothing."""
@@ -72,16 +85,16 @@ class LoadController:
         log = self.decision_log
         if log is None:
             return
-        from repro.telemetry.decisions import ControllerDecision
+        decision = _ControllerDecision or _decision_record_type()
         # A log may be installed before attach() binds the system (e.g.
         # a controller configured by hand); counts are simply zero then.
-        tracker = self.system.tracker if self.system is not None else None
-        log.record(ControllerDecision(
-            time=(self.system.sim.now if self.system is not None else 0.0),
+        system = self.system
+        tracker = system.tracker if system is not None else None
+        log.record(decision(
+            time=(system.sim.now if system is not None else 0.0),
             controller=self.name,
             action=action,
-            region=(region.value if region is not None
-                    and hasattr(region, "value") else region),
+            region=getattr(region, "value", region),
             n_active=(tracker.n_active if tracker is not None else 0),
             n_state1=(tracker.n_state1 if tracker is not None else 0),
             n_state3=(tracker.n_state3 if tracker is not None else 0),

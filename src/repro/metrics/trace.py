@@ -13,6 +13,7 @@ per transition when no tracer is installed.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
@@ -55,7 +56,12 @@ _ABORT_EVENTS = {
 }
 
 
-@dataclass(frozen=True)
+# Slotted records (Python 3.10+) take 64 bytes per event instead of 160;
+# on older interpreters the record keeps its __dict__ and behaves the same.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTS)
 class TraceEvent:
     """One recorded transition."""
 
@@ -122,7 +128,11 @@ class Tracer:
                 # index must record nothing either.
                 return
         self._events.append(event)
-        self._by_txn.setdefault(txn_id, deque()).append(event)
+        bucket = self._by_txn.get(txn_id)
+        if bucket is None:
+            self._by_txn[txn_id] = deque((event,))
+        else:
+            bucket.append(event)
 
     def record_abort(self, time: float, txn_id: int, reason: str) -> None:
         """Record an abort, mapping the collector reason string.

@@ -13,6 +13,7 @@ controller pays one ``None`` check per hook when no log is installed.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterator, List, Optional
@@ -54,7 +55,11 @@ class DecisionAction:
     DEGRADED_EXIT = "degraded_exit"    # remotes reachable again; clamp off
 
 
-@dataclass(frozen=True)
+# Slotted records on Python 3.10+; older interpreters keep a __dict__.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTS)
 class ControllerDecision:
     """One recorded load-control verdict.
 

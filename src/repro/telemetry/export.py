@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, Mapping,
+                    Optional, Union)
 
 from repro.errors import ConfigurationError
-from repro.metrics.trace import TraceEvent, Tracer
+from repro.metrics.trace import TraceEvent, TraceEventType, Tracer
 from repro.telemetry.contention import ContentionMonitor
 from repro.telemetry.decisions import DecisionLog
 from repro.telemetry.online import OnlineRegimeMonitor
@@ -56,31 +58,52 @@ __all__ = [
     "json_dump",
     "jsonl_dump",
     "trace_event_to_dict",
+    "trace_jsonl_dump",
     "write_cache_hit_manifest",
 ]
 
 TELEMETRY_FORMAT = "repro-telemetry-v1"
 
 
+# Every export goes through this one encoder.  Its bytes are exactly
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), which would
+# build a fresh encoder per call; sharing one skips that per-record setup.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# Rows per buffered write: enough to amortise the write calls, few enough
+# that a long stream is never held in memory as one string.
+_CHUNK_ROWS = 2048
+
+# The encoded "type" value of every trace event type.
+_TRACE_TYPES = {t: encode_basestring_ascii(t.value) for t in TraceEventType}
+
+
 def json_dump(obj: Any, path: Union[str, Path]) -> Path:
     """Write one JSON document with deterministic bytes."""
     path = Path(path)
-    path.write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+    path.write_text(_ENCODER.encode(obj) + "\n", encoding="utf-8")
+    return path
+
+
+def _write_rows(rows: Iterator[str], path: Union[str, Path]) -> Path:
+    """Write encoded rows one per line, streamed in bounded chunks."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as fh:
+        chunk = list(islice(rows, _CHUNK_ROWS))
+        while chunk:
+            fh.writelines(("\n".join(chunk), "\n"))
+            chunk = list(islice(rows, _CHUNK_ROWS))
     return path
 
 
 def jsonl_dump(records: Iterable[Mapping[str, Any]],
                path: Union[str, Path]) -> Path:
-    """Write records as JSON Lines with deterministic bytes."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
-    return path
+    """Write records as JSON Lines with deterministic bytes.
+
+    Each line is ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` byte for byte.
+    """
+    return _write_rows(map(_ENCODER.encode, records), path)
 
 
 def trace_event_to_dict(event: TraceEvent) -> Dict[str, Any]:
@@ -91,6 +114,42 @@ def trace_event_to_dict(event: TraceEvent) -> Dict[str, Any]:
         "txn_id": event.txn_id,
         "detail": event.detail,
     }
+
+
+def _trace_rows(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """Encoded trace.jsonl rows, formatted without building the dicts.
+
+    Each row is the encoding of :func:`trace_event_to_dict`.  The common
+    row (finite float time, int transaction id, str detail) is formatted
+    directly with the encoder's own string and float rules; any other
+    row goes through the shared encoder.
+    """
+    encode = _ENCODER.encode
+    encode_str = encode_basestring_ascii
+    float_repr = float.__repr__
+    types = _TRACE_TYPES
+    for event in events:
+        time = event.time
+        txn_id = event.txn_id
+        detail = event.detail
+        # time - time is 0.0 exactly when time is finite; the encoder
+        # spells inf and NaN as Infinity and NaN, not as repr() does.
+        if (type(time) is float and time - time == 0.0
+                and type(txn_id) is int and type(detail) is str):
+            yield (f'{{"detail":{encode_str(detail)},'
+                   f'"time":{float_repr(time)},"txn_id":{txn_id},'
+                   f'"type":{types[event.event_type]}}}')
+        else:
+            yield encode(trace_event_to_dict(event))
+
+
+def trace_jsonl_dump(events: Iterable[TraceEvent],
+                     path: Union[str, Path]) -> Path:
+    """Write trace events as trace.jsonl.
+
+    The bytes equal ``jsonl_dump(map(trace_event_to_dict, events))``.
+    """
+    return _write_rows(_trace_rows(events), path)
 
 
 def _code_fingerprint() -> str:
@@ -291,7 +350,17 @@ class TelemetrySession:
                  sim_time: Optional[float] = None,
                  wall_time: Optional[float] = None,
                  extra: Optional[Mapping[str, Any]] = None) -> Path:
-        """Serialize everything collected; returns the run directory."""
+        """Serialize everything collected; returns the run directory.
+
+        A session exports once: a second call raises
+        :class:`~repro.errors.ConfigurationError` instead of rewriting
+        every file and stopping the allocation probe again.
+        """
+        if self._finalized:
+            raise ConfigurationError(
+                f"telemetry session for {self.out_dir} is already "
+                f"finalized")
+        self._finalized = True
         self.out_dir.mkdir(parents=True, exist_ok=True)
         samples = self.probes.samples if self.probes is not None else []
 
@@ -304,8 +373,7 @@ class TelemetrySession:
                        self.out_dir / "site_probes.jsonl")
         jsonl_dump((d.to_dict() for d in self.decisions),
                    self.out_dir / "decisions.jsonl")
-        jsonl_dump((trace_event_to_dict(e) for e in self.tracer),
-                   self.out_dir / "trace.jsonl")
+        trace_jsonl_dump(self.tracer, self.out_dir / "trace.jsonl")
         if self.spans is not None:
             jsonl_dump((s.to_dict() for s in self.spans),
                        self.out_dir / "spans.jsonl")
@@ -384,7 +452,6 @@ class TelemetrySession:
                     name=self.out_dir.name),
                 self.out_dir / "trace.json")
 
-        self._finalized = True
         return self.out_dir
 
 

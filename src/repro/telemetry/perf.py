@@ -117,23 +117,14 @@ class PerfProfiler(EngineProfiler):
     def record(self, callback: Callable[..., Any], elapsed: float,
                args: tuple = ()) -> None:
         super().record(callback, elapsed, args)
-        _, event_key = self._names_of(callback)
-        key = (self.phase, *self._stack_tail(callback, event_key),
+        key = (self.phase,
+               *self._names_of(getattr(callback, "__func__", callback)),
                page_class_of(args))
         bucket = self.stacks.get(key)
         if bucket is None:
             bucket = self.stacks[key] = [0, 0.0]
         bucket[0] += 1
         bucket[1] += elapsed
-
-    def _stack_tail(self, callback: Callable[..., Any],
-                    event_key: str) -> Tuple[str, str]:
-        """``(subsystem, event type)`` frames for one callback."""
-        raw = (getattr(callback, "__module__", None) or "<unknown>",
-               getattr(callback, "__qualname__", None) or "<callable>")
-        subsystem = self._names[raw][0]
-        # event_key is "<subsystem>.<canonical qualname>".
-        return subsystem, event_key[len(subsystem) + 1:]
 
     # -- probe listener -------------------------------------------------
 

@@ -91,36 +91,34 @@ class EngineProfiler:
     profiler also keeps its own ``perf_counter`` epoch so
     :meth:`summary` can report events per wall-second including loop
     overhead, not just callback time.
+
+    The per-event work is one bucket update keyed by the callback's
+    underlying function (a bound method's ``__func__``, else the
+    callable itself).  Subsystem and canonical event-type names are
+    resolved per function only when the buckets are read, through
+    :attr:`by_subsystem` and :attr:`by_event_type`.
     """
 
     def __init__(self) -> None:
         self.events = 0
         self.callback_seconds = 0.0
-        # subsystem -> [event count, callback seconds]
-        self.by_subsystem: Dict[str, list] = {}
-        # canonical "subsystem.Class.method" -> [count, seconds]
-        self.by_event_type: Dict[str, list] = {}
-        # (module, raw qualname) -> (subsystem, canonical event key);
-        # bound methods are fresh objects per attribute access, so the
-        # memo keys on the underlying names, not the callback object.
-        self._names: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        # underlying function -> [event count, callback seconds]
+        self.by_function: Dict[Any, list] = {}
+        # underlying function -> (subsystem, canonical qualname)
+        self._names: Dict[Any, Tuple[str, str]] = {}
         self._epoch = time.perf_counter()
 
-    def _names_of(self, callback: Callable[..., Any]) -> Tuple[str, str]:
-        """Memoized ``(subsystem, canonical event key)`` of a callback."""
-        raw = (getattr(callback, "__module__", None) or "<unknown>",
-               getattr(callback, "__qualname__", None) or "<callable>")
-        names = self._names.get(raw)
+    def _names_of(self, func: Callable[..., Any]) -> Tuple[str, str]:
+        """Memoized ``(subsystem, canonical qualname)`` of a function."""
+        names = self._names.get(func)
         if names is None:
-            subsystem = subsystem_of(callback)
-            names = (subsystem,
-                     f"{subsystem}.{canonical_qualname(callback)}")
-            self._names[raw] = names
+            names = self._names[func] = (subsystem_of(func),
+                                         canonical_qualname(func))
         return names
 
     def record(self, callback: Callable[..., Any], elapsed: float,
                args: tuple = ()) -> None:
-        """Credit one executed event to its subsystem and event type.
+        """Credit one executed event to its callback's function.
 
         ``args`` is the event's argument tuple; this profiler ignores
         it, but subclasses (the attribution profiler) use it for
@@ -128,17 +126,37 @@ class EngineProfiler:
         """
         self.events += 1
         self.callback_seconds += elapsed
-        subsystem, event_key = self._names_of(callback)
-        bucket = self.by_subsystem.get(subsystem)
+        func = getattr(callback, "__func__", callback)
+        bucket = self.by_function.get(func)
         if bucket is None:
-            bucket = self.by_subsystem[subsystem] = [0, 0.0]
-        bucket[0] += 1
-        bucket[1] += elapsed
-        bucket = self.by_event_type.get(event_key)
-        if bucket is None:
-            bucket = self.by_event_type[event_key] = [0, 0.0]
-        bucket[0] += 1
-        bucket[1] += elapsed
+            self.by_function[func] = [1, elapsed]
+        else:
+            bucket[0] += 1
+            bucket[1] += elapsed
+
+    def _rollup(self, key: Callable[[str, str], str]) -> Dict[str, list]:
+        """The function buckets merged under ``key(subsystem, qualname)``."""
+        out: Dict[str, list] = {}
+        for func, (count, seconds) in self.by_function.items():
+            name = key(*self._names_of(func))
+            bucket = out.get(name)
+            if bucket is None:
+                out[name] = [count, seconds]
+            else:
+                bucket[0] += count
+                bucket[1] += seconds
+        return out
+
+    @property
+    def by_subsystem(self) -> Dict[str, list]:
+        """subsystem -> [event count, callback seconds]."""
+        return self._rollup(lambda subsystem, qualname: subsystem)
+
+    @property
+    def by_event_type(self) -> Dict[str, list]:
+        """canonical ``subsystem.Class.method`` -> [count, seconds]."""
+        return self._rollup(
+            lambda subsystem, qualname: f"{subsystem}.{qualname}")
 
     @property
     def wall_seconds(self) -> float:

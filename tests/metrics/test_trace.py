@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.metrics.trace import TraceEvent, TraceEventType, Tracer
 
 
@@ -165,3 +169,61 @@ def test_traced_simulation_records_lifecycle(tiny_params):
     assert first[0].event_type is TraceEventType.ARRIVAL
     if first[-1].event_type is TraceEventType.COMMIT:
         assert first[-1].time >= first[0].time
+
+
+def test_trace_event_is_immutable():
+    event = TraceEvent(1.0, TraceEventType.ADMIT, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.time = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del event.detail
+    # A slotted record has nowhere to put a new attribute either (the
+    # error type for non-field names varies across CPython versions).
+    with pytest.raises((AttributeError, TypeError)):
+        event.extra = "x"
+    assert event.time == 1.0 and event.detail == ""
+
+
+def test_trace_event_equality_hash_and_str():
+    a = TraceEvent(1.5, TraceEventType.BLOCK, 42, detail="page 7")
+    b = TraceEvent(1.5, TraceEventType.BLOCK, 42, "page 7")
+    assert a == b and hash(a) == hash(b)
+    assert a != TraceEvent(1.5, TraceEventType.BLOCK, 42)
+    assert a != TraceEvent(1.5, TraceEventType.UNBLOCK, 42, "page 7")
+    assert str(a) == "[    1.5000] txn 42     block (page 7)"
+    assert str(TraceEvent(0.25, TraceEventType.COMMIT, 7)) == \
+        "[    0.2500] txn 7      commit"
+    assert repr(a) == ("TraceEvent(time=1.5, event_type="
+                       "<TraceEventType.BLOCK: 'block'>, txn_id=42, "
+                       "detail='page 7')")
+
+
+def test_txn_queries_match_full_scan_at_every_step_of_eviction():
+    # After every append, both per-txn queries must agree with a scan
+    # of the retained events, including once FIFO eviction has emptied
+    # and recreated buckets.
+    tracer = Tracer(capacity=5)
+    kinds = (TraceEventType.ADMIT, TraceEventType.BLOCK)
+    for i in range(40):
+        tracer.record(float(i), kinds[i % 2], (i * 7) % 4, detail=str(i))
+        retained = list(tracer)
+        assert len(retained) == min(i + 1, 5)
+        for txn_id in range(4):
+            expected = [e for e in retained if e.txn_id == txn_id]
+            assert tracer.history_of(txn_id) == expected
+            assert tracer.events(txn_id=txn_id) == expected
+            assert tracer.events(TraceEventType.BLOCK, txn_id=txn_id) == \
+                [e for e in expected if e.event_type is TraceEventType.BLOCK]
+        assert set(tracer._by_txn) == {e.txn_id for e in retained}
+    assert tracer.dropped == 35
+
+
+def test_zero_capacity_txn_queries_stay_empty():
+    tracer = Tracer(capacity=0)
+    for i in range(3):
+        tracer.record(float(i), TraceEventType.ADMIT, 1)
+        tracer.record_abort(float(i), 1, "deadlock")
+    assert tracer.dropped == 6
+    assert tracer.events(txn_id=1) == []
+    assert tracer.events() == []
+    assert tracer.history_of(1) == []

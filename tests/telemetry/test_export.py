@@ -6,14 +6,19 @@ import json
 from functools import partial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.control.fixed_mpl import FixedMPLController
 from repro.core.half_and_half import HalfAndHalfController
+from repro.errors import ConfigurationError
 from repro.experiments.parallel import RunSpec, run_specs, spec_key
 from repro.experiments.runner import run_simulation
-from repro.metrics.trace import Tracer
+from repro.metrics.trace import TraceEvent, TraceEventType, Tracer
 from repro.telemetry import (TelemetryConfig, TelemetrySession,
                              validate_run_dir, write_cache_hit_manifest)
+from repro.telemetry.export import (jsonl_dump, trace_event_to_dict,
+                                    trace_jsonl_dump)
 
 RUN_FILES = ["manifest.json", "probes.jsonl", "decisions.jsonl",
              "trace.jsonl", "profile.json"]
@@ -180,3 +185,91 @@ def test_schema_validator_flags_bad_records(tmp_path):
         {"time": 1.0, "type": "admit", "txn_id": True, "detail": ""},
         TRACE_SCHEMA)
     assert any("txn_id" in e for e in errors)
+
+
+def test_finalize_twice_raises(tiny_params, tmp_path):
+    session, _ = _run_session(tiny_params, tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    with pytest.raises(ConfigurationError, match="already finalized"):
+        session.finalize()
+    after = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert after == before
+
+
+# ---------------------------------------------------------------------------
+# export bytes: the shared encoder and the trace-row writer must write
+# exactly what the stdlib writes, record for record
+
+
+def _stdlib_jsonl(records) -> bytes:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                   + "\n" for r in records).encode("utf-8")
+
+
+# Non-ASCII text, quotes, backslashes and control characters.
+_TEXT = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\\n\t\x00\x1f\u2028δ€😀')))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"),
+                     float("nan"), 1e300, 5e-324]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8)
+_TIMES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf")]),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+_EVENTS = st.builds(
+    TraceEvent,
+    time=_TIMES,
+    event_type=st.sampled_from(list(TraceEventType)),
+    txn_id=st.one_of(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+                     st.booleans()),
+    detail=_TEXT)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(st.dictionaries(_TEXT, _VALUES, max_size=6),
+                        max_size=8))
+def test_jsonl_dump_bytes_equal_stdlib(records, tmp_path):
+    path = jsonl_dump(records, tmp_path / "rows.jsonl")
+    assert path.read_bytes() == _stdlib_jsonl(records)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(events=st.lists(_EVENTS, max_size=8))
+def test_trace_rows_bytes_equal_stdlib(events, tmp_path):
+    path = trace_jsonl_dump(events, tmp_path / "trace.jsonl")
+    assert path.read_bytes() == \
+        _stdlib_jsonl(trace_event_to_dict(e) for e in events)
+
+
+def test_multi_chunk_streams_equal_stdlib(tmp_path):
+    # Several write chunks, the last one partial.
+    events = [TraceEvent(i * 0.1, TraceEventType.ADMIT, i, f"n{i % 7}")
+              for i in range(5000)]
+    rows = [trace_event_to_dict(e) for e in events]
+    assert trace_jsonl_dump(events, tmp_path / "t.jsonl").read_bytes() == \
+        _stdlib_jsonl(rows)
+    assert jsonl_dump(rows, tmp_path / "r.jsonl").read_bytes() == \
+        _stdlib_jsonl(rows)
+    assert jsonl_dump([], tmp_path / "empty.jsonl").read_bytes() == b""
+
+
+def test_run_exports_equal_stdlib_encoding(fast_params, tmp_path):
+    session, _ = _run_session(fast_params, tmp_path / "run")
+    assert len(session.tracer) > 0 and len(session.decisions) > 0
+    run = tmp_path / "run"
+    assert (run / "trace.jsonl").read_bytes() == _stdlib_jsonl(
+        trace_event_to_dict(e) for e in session.tracer)
+    assert (run / "decisions.jsonl").read_bytes() == _stdlib_jsonl(
+        d.to_dict() for d in session.decisions)
+    assert (run / "probes.jsonl").read_bytes() == _stdlib_jsonl(
+        s.to_dict() for s in session.probes.samples)
