@@ -9,6 +9,7 @@ silently regressing.
 from repro.core.half_and_half import HalfAndHalfController
 from repro.dbms.config import SimulationParameters
 from repro.experiments.runner import run_simulation
+from repro.lockmgr.deadlock import find_cycle
 from repro.lockmgr.lock_table import LockTable
 from repro.lockmgr.modes import LockMode
 from repro.sim.engine import Simulator
@@ -74,6 +75,44 @@ def test_micro_lock_table_contended(benchmark):
         return granted
 
     benchmark(run)
+
+
+def test_micro_deadlock_search(benchmark):
+    """find_cycle on a contended table: a wait chain, an upgrade, one
+    real cycle, and start transactions nobody waits on."""
+
+    class T:
+        def __init__(self, name):
+            self.name = name
+
+        def __repr__(self):
+            return self.name
+
+    a, b, c, d, e, f, u, v, w = (T(n) for n in "abcdefuvw")
+    table = LockTable()
+    S, X = LockMode.S, LockMode.X
+    for txn, page, mode in [
+            (a, 0, X), (b, 1, X), (b, 11, S), (c, 2, X),
+            (e, 3, S), (f, 3, S), (u, 10, X), (v, 11, S), (w, 12, X),
+            (b, 0, X),      # chain d -> c -> b -> a, a running
+            (c, 1, S),
+            (d, 2, X),      # nobody waits on d
+            (f, 1, S),      # f waits on b
+            (e, 3, X),      # e upgrades and waits on f
+            (u, 11, X),     # u waits on b (a dead end), then v
+            (v, 12, X),     # v waits on w
+            (w, 10, S)]:    # w waits on u: closes w -> u -> v -> w
+        table.request(txn, page, mode)
+
+    def run():
+        found = None
+        for _ in range(500):
+            found = find_cycle(table, w)
+            for start in (d, e, c, f):
+                assert find_cycle(table, start) is None
+        return found
+
+    assert benchmark(run) == [w, u, v]
 
 
 def test_micro_end_to_end_simulation(benchmark):

@@ -183,6 +183,11 @@ class _GlobalLockView:
             return set()
         return self._system.sites[site].lock_table.blocking_set(txn)
 
+    def may_be_waited_on(self, txn: Transaction) -> bool:
+        # ``txn`` may hold pages at every site, so ask each one.
+        return any(site.lock_table.may_be_waited_on(txn)
+                   for site in self._system.sites)
+
     def is_blocking_others(self, txn: Transaction) -> bool:
         return any(site.lock_table.is_blocking_others(txn)
                    for site in self._system.sites)

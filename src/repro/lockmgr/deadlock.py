@@ -28,41 +28,42 @@ def find_cycle(lock_table: LockTable, start: Txn) -> Optional[List[Txn]]:
     """Find a waits-for cycle through ``start``, or None.
 
     Performs an iterative DFS over the lazy waits-for adjacency
-    (:meth:`LockTable.blocking_set`).  Returns the cycle as a list of
+    (:meth:`LockTable.blocking_order`).  Returns the cycle as a list of
     transactions beginning and ending conceptually at ``start`` (the list
     contains each cycle member once).
+
+    A cycle through ``start`` needs a waiter that waits on ``start``, so
+    when :meth:`LockTable.may_be_waited_on` rules that out the search is
+    skipped: the answer is None either way.
     """
+    if not lock_table.may_be_waited_on(start):
+        return None
+    blocking_order = lock_table.blocking_order
+    is_waiting = lock_table.is_waiting
     # DFS with explicit stack; path tracks the current chain from start.
+    # Transactions on the path are always in ``visited``.
     path: List[Txn] = [start]
-    on_path = {id(start)}
-    iter_stack = [iter(lock_table.blocking_order(start))]
-    visited = {id(start)}
+    iter_stack = [iter(blocking_order(start))]
+    visited = {start}
     while iter_stack:
-        advanced = False
         for nxt in iter_stack[-1]:
             if nxt is start:
                 # Completed a cycle back to the start node.
                 return list(path)
-            if id(nxt) in on_path:
-                # A cycle not through ``start``; it existed before this
-                # block (or involves only downstream txns).  Detection at
-                # block time only reports cycles through the new waiter, so
-                # skip — such cycles were resolved when they formed.
+            if nxt in visited:
+                # Either explored already or a cycle not through
+                # ``start``: detection at block time only reports cycles
+                # through the new waiter, so skip — such cycles were
+                # resolved when they formed.
                 continue
-            if id(nxt) in visited:
-                continue
-            visited.add(id(nxt))
-            blockers = lock_table.blocking_order(nxt)
-            if not blockers:
+            visited.add(nxt)
+            if not is_waiting(nxt):
                 continue  # running transaction: dead end
             path.append(nxt)
-            on_path.add(id(nxt))
-            iter_stack.append(iter(blockers))
-            advanced = True
+            iter_stack.append(iter(blocking_order(nxt)))
             break
-        if not advanced:
-            dropped = path.pop()
-            on_path.discard(id(dropped))
+        else:
+            path.pop()
             iter_stack.pop()
     return None
 

@@ -17,7 +17,7 @@ The lock table is a pure data structure: it records state and reports
 outcomes (:class:`RequestOutcome`) and newly grantable requests
 (:class:`Grant` records).  Deadlock detection and transaction aborts are
 orchestrated by higher layers (:mod:`repro.lockmgr.deadlock` and the DBMS
-system) on top of the :meth:`LockTable.blocking_set` view.
+system) on top of the :meth:`LockTable.blocking_order` view.
 """
 
 from __future__ import annotations
@@ -197,82 +197,75 @@ class LockTable:
             lock = self._locks[page]
             if lock.queue:
                 return True
-            if any(up is not txn for up in lock.upgraders):
-                return True
+            for up in lock.upgraders:
+                if up is not txn:
+                    return True
         return False
+
+    def may_be_waited_on(self, txn: Txn) -> bool:
+        """False only if no waiting transaction has ``txn`` in its
+        blocking set.  O(pages ``txn`` holds).
+
+        Others can wait on ``txn`` only as ordinary waiters or other
+        upgraders on a page it holds, or as waiters queued behind it on
+        the page it waits for.  A False answer is exact: no waits-for
+        edge enters ``txn``, so no cycle can pass through it, and
+        :func:`~repro.lockmgr.deadlock.find_cycle` skips its search.
+        """
+        if self.is_blocking_others(txn):
+            return True
+        rec = self._waits.get(txn)
+        if rec is None or rec.is_upgrade:
+            return False    # an upgrader's page is one it holds
+        return self._locks[rec.page].queue[-1][0] is not txn
 
     def blocking_set(self, txn: Txn) -> Set[Txn]:
         """Transactions that currently prevent ``txn``'s pending request.
 
-        This is the waits-for adjacency of ``txn``: empty if it is not
-        blocked.  For an upgrader, the blockers are the other holders.  For
-        an ordinary waiter, the blockers are incompatible holders, all
-        upgraders, and incompatible ordinary waiters queued ahead of it.
+        This is the waits-for adjacency of ``txn`` as a set: empty if it
+        is not blocked.  See :meth:`blocking_order` for the edge rules.
         """
-        rec = self._waits.get(txn)
-        if rec is None:
-            return set()
-        lock = self._locks[rec.page]
-        blockers: Set[Txn] = set()
-        if rec.is_upgrade:
-            blockers.update(h for h in lock.holders if h is not txn)
-            for up in lock.upgraders:
-                if up is txn:
-                    break
-                blockers.add(up)
-            return blockers
-        for holder, held_mode in lock.holders.items():
-            if not compatible(held_mode, rec.mode):
-                blockers.add(holder)
-        blockers.update(lock.upgraders)
-        for waiter, mode in lock.queue:
-            if waiter is txn:
-                break
-            if not (compatible(mode, rec.mode) and compatible(rec.mode, mode)):
-                blockers.add(waiter)
-        blockers.discard(txn)
-        return blockers
+        return set(self.blocking_order(txn))
 
     def blocking_order(self, txn: Txn) -> List[Txn]:
         """The blocking set in a *deterministic* order.
 
         Set iteration order over arbitrary objects depends on memory
         addresses, which would make deadlock-cycle discovery (and hence
-        victim choice) vary between runs of the same seed.  This variant
-        lists blockers in lock-table structural order: holders first (in
-        grant order), then upgraders, then queued waiters.
+        victim choice) vary between runs of the same seed.  This lists
+        blockers in lock-table structural order, each once:
+
+        * an upgrader is blocked by the other holders (upgraders ahead
+          of it hold S on the page, so they are among them);
+        * an S waiter by the X holder, then every upgrader (upgraders
+          suppress all ordinary grants), then the X waiters queued
+          ahead of it;
+        * an X waiter by every holder, then every waiter queued ahead
+          of it (upgraders are holders, so they are already listed).
+
+        An X holder is the page's only holder, and a queued waiter never
+        holds the page it waits for, so no transaction is listed twice.
         """
         rec = self._waits.get(txn)
         if rec is None:
             return []
         lock = self._locks[rec.page]
-        ordered: List[Txn] = []
-        seen: Set[int] = {id(txn)}
-
-        def _add(candidate: Txn) -> None:
-            if id(candidate) not in seen:
-                seen.add(id(candidate))
-                ordered.append(candidate)
-
         if rec.is_upgrade:
-            for holder in lock.holders:
-                _add(holder)
-            for up in lock.upgraders:
-                if up is txn:
+            return [h for h in lock.holders if h is not txn]
+        if rec.mode is LockMode.S:
+            ordered = list(lock.holders) if lock.num_x else []
+            ordered.extend(lock.upgraders)
+            for waiter, mode in lock.queue:
+                if waiter is txn:
                     break
-                _add(up)
+                if mode is LockMode.X:
+                    ordered.append(waiter)
             return ordered
-        for holder, held_mode in lock.holders.items():
-            if not compatible(held_mode, rec.mode):
-                _add(holder)
-        for up in lock.upgraders:
-            _add(up)
-        for waiter, mode in lock.queue:
+        ordered = list(lock.holders)
+        for waiter, _mode in lock.queue:
             if waiter is txn:
                 break
-            if not (compatible(mode, rec.mode)
-                    and compatible(rec.mode, mode)):
-                _add(waiter)
+            ordered.append(waiter)
         return ordered
 
     def wait_chain_depth(self, txn: Txn, max_depth: int = 64) -> int:

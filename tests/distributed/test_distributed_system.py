@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dbms.transaction import Transaction
 from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import (
     PerSiteControllerSet,
@@ -13,6 +14,7 @@ from repro.distributed.controllers import (
 from repro.distributed.runner import run_distributed_simulation
 from repro.distributed.system import DistributedSystem
 from repro.errors import ConfigurationError
+from repro.lockmgr.modes import LockMode
 from repro.lockmgr.prevention import DeadlockStrategy
 
 
@@ -169,3 +171,60 @@ def test_remote_work_lands_on_owning_sites():
     system = _run_system(_params(locality=0.0), make_no_control_sites(3))
     for entry in system.site_stats():
         assert entry["disk_utilization"] > 0.0
+
+
+def _two_site_system(*plans):
+    """A 2-site system (pages 0-49 at site 0, 50-99 at site 1) with one
+    admitted transaction per ``(timestamp, home site)``, not started:
+    tests drive the lock path by hand."""
+    system = DistributedSystem(
+        params=_params(num_sites=2, num_terms=2, db_size=100),
+        controllers=make_no_control_sites(2))
+    txns = []
+    for txn_id, (timestamp, home) in enumerate(plans):
+        txn = Transaction(txn_id, home, timestamp, [], set())
+        system._home[txn] = home
+        system._admit(txn)
+        txns.append(txn)
+    return system, txns
+
+
+@pytest.mark.parametrize("closer", ["older", "younger"])
+def test_two_site_deadlock_detected_youngest_victim(closer):
+    """A holds page 0 at site 0 and waits at site 1; B the reverse.
+
+    Whichever request closes the cycle, detection on the global lock
+    view finds it and aborts the youngest transaction, B.  When A
+    closes it, A waits at site 1 with nobody behind it there: only
+    site 0's table sees B waiting on A.
+    """
+    system, (a, b) = _two_site_system((1.0, 0), (2.0, 1))
+    system._request_lock_at(a, 0, 0, False)     # A: S on page 0
+    system._request_lock_at(b, 50, 1, False)    # B: S on page 50
+    if closer == "older":
+        system._request_lock_at(b, 0, 0, True)      # B waits on A
+        assert system.global_locks.is_waiting(b)
+        system._request_lock_at(a, 50, 1, True)     # A waits on B
+    else:
+        system._request_lock_at(a, 50, 1, True)     # A waits on B
+        assert system.global_locks.is_waiting(a)
+        system._request_lock_at(b, 0, 0, True)      # B waits on A
+    assert system.collector.aborts_by_reason == {"deadlock": 1}
+    assert not system.tracker.is_active(b)
+    assert system.tracker.is_active(a)
+    assert not system.global_locks.is_waiting(a)
+    assert system.sites[1].lock_table.holds(a, 50, LockMode.X)
+
+
+def test_global_pre_filter_asks_every_site():
+    """A waits at site 1 with nobody behind it there, but B waits at
+    site 0 on A's page: only site 0's table sees the in-edge."""
+    system, (a, b, c) = _two_site_system((1.0, 0), (2.0, 1), (3.0, 1))
+    system._request_lock_at(a, 0, 0, False)     # A: S on page 0
+    system._request_lock_at(c, 50, 1, False)    # C: S on page 50
+    system._request_lock_at(a, 50, 1, True)     # A waits at site 1 on C
+    assert not system.global_locks.may_be_waited_on(a)
+    system._request_lock_at(b, 0, 0, True)      # B waits at site 0 on A
+    assert not system.sites[1].lock_table.may_be_waited_on(a)
+    assert system.global_locks.may_be_waited_on(a)
+    assert system.global_locks.blocking_order(b) == [a]
